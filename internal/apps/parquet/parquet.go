@@ -246,21 +246,27 @@ func (a *App) runRotation() error {
 		targets[l] = a.applied[l] + a.expectedPerIter[l]
 		a.mu[l].Unlock()
 	}
+	// Rows go out from a snapshot taken before any send: incoming
+	// rotation parcels add into the live tensors while the senders are
+	// still reading, so sending from them would make the result depend
+	// on delivery timing.
+	snap := make([][]complex128, L)
+	for l := 0; l < L; l++ {
+		a.mu[l].Lock()
+		snap[l] = append([]complex128(nil), a.tensors[l]...)
+		a.mu[l].Unlock()
+	}
 	errCh := make(chan error, L)
 	for l := 0; l < L; l++ {
 		go func(src int) {
 			loc := a.rt.Locality(src)
 			nParcels := a.RotationParcelsPerLocality()
-			row := make([]complex128, a.cfg.Nc)
 			for p := 0; p < nParcels; p++ {
 				dst := (src + 1 + p%(L-1)) % L
 				base := (p % (a.cfg.Nc * a.cfg.Nc)) * a.cfg.Nc
-				a.mu[src].Lock()
-				copy(row, a.tensors[src][base:base+a.cfg.Nc])
-				a.mu[src].Unlock()
 				w := serialization.NewWriter(16*a.cfg.Nc + 8)
 				w.Uvarint(uint64(p))
-				w.C128Slice(row)
+				w.C128Slice(snap[src][base : base+a.cfg.Nc])
 				if err := loc.Apply(dst, Action, w.Bytes()); err != nil {
 					errCh <- err
 					return

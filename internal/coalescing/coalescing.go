@@ -198,8 +198,9 @@ type Coalescer struct {
 type DestStats struct {
 	// Parcels counts every Put toward this destination.
 	Parcels int64
-	// Queued counts parcels that entered the destination queue (the
-	// remainder were bypassed or passed through uncoalesced).
+	// Queued counts parcels that entered the destination queue; every
+	// other parcel is counted in Bypass or PassThrough, so
+	// Queued+Bypass+PassThrough == Parcels.
 	Queued int64
 	// FlushedFull, FlushedTimer and FlushedBytes count emitted batches
 	// by cause: queue reached NParcels, wait timer expired, or the
@@ -210,6 +211,9 @@ type DestStats struct {
 	FlushedBytes int64
 	// Bypass counts parcels sent immediately by the sparse-traffic rule.
 	Bypass int64
+	// PassThrough counts the remaining parcels sent uncoalesced because
+	// the resolved NParcels was 1 or less.
+	PassThrough int64
 	// ArrivalCount and ArrivalSumUS accumulate this destination's
 	// arrival gaps (µs), the per-destination analog of the
 	// average-parcel-arrival counter.
@@ -499,6 +503,8 @@ func (c *Coalescer) Put(p *parcel.Parcel) {
 	if params.NParcels <= 1 || bypass {
 		if bypass {
 			q.stats.Bypass++
+		} else {
+			q.stats.PassThrough++
 		}
 		sh.mu.Unlock()
 		c.emitParcel(p.DestLocality, p)

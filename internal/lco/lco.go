@@ -81,10 +81,12 @@ func (f *Future[T]) Get() (T, error) {
 
 // GetWithTimeout waits at most d; on expiry it returns ErrTimeout.
 func (f *Future[T]) GetWithTimeout(d time.Duration) (T, error) {
+	t := time.NewTimer(d)
+	defer t.Stop()
 	select {
 	case <-f.p.done:
 		return f.p.val, f.p.err
-	case <-time.After(d):
+	case <-t.C:
 		var zero T
 		return zero, ErrTimeout
 	}
@@ -133,26 +135,24 @@ func WaitAll[T any](fs []*Future[T]) error {
 	return firstErr
 }
 
-// WaitAllTimeout waits for every future in fs under one overall deadline.
-// It returns the first error encountered (in slice order) or ErrTimeout
-// if the deadline expires first. Fault-tolerant applications use it in
-// place of WaitAll so a future whose remote locality died without being
-// poisoned can never hang the caller.
+// WaitAllTimeout waits for every future in fs under one overall deadline,
+// armed as a single timer however many futures there are. It returns the
+// first error encountered (in slice order) or ErrTimeout if the deadline
+// expires first. Fault-tolerant applications use it in place of WaitAll
+// so a future whose remote locality died without being poisoned can
+// never hang the caller.
 func WaitAllTimeout[T any](fs []*Future[T], d time.Duration) error {
-	deadline := time.Now().Add(d)
+	t := time.NewTimer(d)
+	defer t.Stop()
 	var firstErr error
 	for _, f := range fs {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
+		select {
+		case <-f.p.done:
+		case <-t.C:
 			return ErrTimeout
 		}
-		if _, err := f.GetWithTimeout(remaining); err != nil {
-			if errors.Is(err, ErrTimeout) {
-				return ErrTimeout
-			}
-			if firstErr == nil {
-				firstErr = err
-			}
+		if f.p.err != nil && firstErr == nil {
+			firstErr = f.p.err
 		}
 	}
 	return firstErr

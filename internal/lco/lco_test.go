@@ -138,6 +138,40 @@ func TestWaitAllPropagatesFirstError(t *testing.T) {
 	}
 }
 
+func TestWaitAllTimeout(t *testing.T) {
+	p1, p2, p3 := NewPromise[int](), NewPromise[int](), NewPromise[int]()
+	e2 := errors.New("second")
+	_ = p1.SetValue(1)
+	_ = p2.SetError(e2)
+	fs := []*Future[int]{p1.Future(), p2.Future(), p3.Future()}
+	if err := WaitAllTimeout(fs, 10*time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Errorf("WaitAllTimeout with a pending future = %v, want ErrTimeout", err)
+	}
+	_ = p3.SetError(errors.New("third"))
+	if err := WaitAllTimeout(fs, time.Second); !errors.Is(err, e2) {
+		t.Errorf("WaitAllTimeout = %v, want first error", err)
+	}
+}
+
+// TestWaitAllTimeoutOneTimer: the deadline is one timer per call, not one
+// per future, so waiting on ready futures allocates O(1).
+func TestWaitAllTimeoutOneTimer(t *testing.T) {
+	fs := make([]*Future[int], 1000)
+	for i := range fs {
+		p := NewPromise[int]()
+		_ = p.SetValue(i)
+		fs[i] = p.Future()
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := WaitAllTimeout(fs, time.Second); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Errorf("WaitAllTimeout over %d ready futures: %.0f allocs, want O(1)", len(fs), allocs)
+	}
+}
+
 func TestWhenAll(t *testing.T) {
 	ps := []*Promise[int]{NewPromise[int](), NewPromise[int](), NewPromise[int]()}
 	fs := make([]*Future[int], len(ps))

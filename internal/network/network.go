@@ -157,7 +157,7 @@ func DefaultCostModel() CostModel {
 
 // Stats reports cumulative fabric activity. Receive-side counts are
 // incremented when a message is handed to the destination handler (for
-// TCPFabric, after its frame has been fully read off the socket), so
+// PeerFabric, after its frame has been fully read off the socket), so
 // sent and received totals converge only once deliveries drain.
 type Stats struct {
 	MessagesSent     uint64

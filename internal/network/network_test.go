@@ -377,6 +377,60 @@ func TestTCPFabricLargePayload(t *testing.T) {
 	}
 }
 
+// TestTCPFabricFaultHookSenderSideOnly pins the composed fabric's fault
+// rule: the hook runs once per Send, on the sending peer only, so a drop
+// is counted once and the receiving peer never re-judges a frame.
+func TestTCPFabricFaultHookSenderSideOnly(t *testing.T) {
+	f, err := NewTCPFabric(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	cs := []*collector{newCollector(), newCollector(), newCollector()}
+	for i, c := range cs {
+		f.SetHandler(i, c.handler)
+	}
+	var calls atomic.Int64
+	f.SetFaultHook(func(src, dst int, payload []byte) Fault {
+		calls.Add(1)
+		if src == 0 && dst == 1 {
+			return Fault{Action: FaultDrop}
+		}
+		return Fault{}
+	})
+
+	const per = 20
+	links := [][2]int{{0, 1}, {1, 0}, {1, 2}, {2, 0}}
+	for i := 0; i < per; i++ {
+		for _, l := range links {
+			if err := f.Send(l[0], l[1], []byte("m")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Link 0→1 is dropped: locality 1 receives nothing, 0 hears from 1
+	// and 2, and 2 hears from 1.
+	cs[0].wait(t, 2*per, 5*time.Second)
+	cs[2].wait(t, per, 5*time.Second)
+	time.Sleep(20 * time.Millisecond)
+	if got := cs[1].count(); got != 0 {
+		t.Errorf("locality 1 received %d messages over a dropped link", got)
+	}
+
+	sends := int64(per * len(links))
+	if got := calls.Load(); got != sends {
+		t.Errorf("hook ran %d times for %d sends", got, sends)
+	}
+	delivered := uint64(3 * per)
+	st := f.Stats()
+	if st.Dropped != per {
+		t.Errorf("Dropped = %d, want %d", st.Dropped, per)
+	}
+	if st.MessagesSent != delivered || st.MessagesReceived != delivered {
+		t.Errorf("sent/received = %d/%d, want %d/%d", st.MessagesSent, st.MessagesReceived, delivered, delivered)
+	}
+}
+
 func TestRendezvousCostModel(t *testing.T) {
 	m := CostModel{
 		SendOverhead:         10 * time.Microsecond,

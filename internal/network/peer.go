@@ -11,22 +11,22 @@ import (
 	"time"
 )
 
-// PeerFabric implements Fabric for one locality of a multi-process
-// cluster: unlike TCPFabric (which listens for every locality of an
-// in-process runtime on pre-known ephemeral ports), a PeerFabric owns a
+// PeerFabric implements Fabric for one locality over TCP: it owns a
 // single listener for its own locality and reaches the others through an
 // explicit peer-address table filled in at runtime — by configuration,
-// by the cluster join protocol, or by gossip as late joiners appear.
+// by the cluster join protocol, by gossip as late joiners appear, or,
+// for an in-process runtime, by TCPFabric wiring N peers together on
+// loopback.
 //
 // Connections carry a hello handshake (magic, protocol version, cluster
 // size, locality id) so an accepted connection is bound to a verified
-// peer identity before any frame is believed; after the hello, framing is
-// identical to TCPFabric's (uint32 source locality, uint32 payload
-// length, payload), and every frame's source must match the hello or the
-// connection is dropped. Dialing is lazy, on first send to a peer; a
-// peer with no installed address — or whose address refuses the dial —
-// fails the send with ErrPeerUnreachable, which a reliability layer above
-// treats as transient loss and retries.
+// peer identity before any frame is believed; after the hello, each
+// frame is a fixed header — uint32 source locality, uint32 payload
+// length — followed by the payload, and every frame's source must match
+// the hello or the connection is dropped. Dialing is lazy, on first send
+// to a peer; a peer with no installed address — or whose address refuses
+// the dial — fails the send with ErrPeerUnreachable, which a reliability
+// layer above treats as transient loss and retries.
 type PeerFabric struct {
 	n    int
 	self int
@@ -232,6 +232,9 @@ func (f *PeerFabric) serve(conn net.Conn) {
 	}
 	_ = conn.SetReadDeadline(time.Time{})
 
+	// Batched socket reads: the buffered reader turns per-frame ReadFull
+	// pairs into large socket reads, so a burst of small frames costs one
+	// syscall instead of two per frame.
 	br := bufio.NewReaderSize(conn, tcpReadBufferSize)
 	var hdr [8]byte
 	for {
@@ -278,6 +281,12 @@ func (f *PeerFabric) serve(conn net.Conn) {
 		}
 	}
 }
+
+// tcpReadBufferSize sizes the per-connection read buffer. Coalesced
+// messages are tens of kilobytes at most, so a 256 KiB buffer lets one
+// read syscall drain many queued frames under load — the receive-side
+// mirror of writeFrame's vectored (writev) framing.
+const tcpReadBufferSize = 256 << 10
 
 // maxPeerFrame bounds a single frame arriving from the network; anything
 // larger is treated as stream corruption. Coalesced bundles are tens of

@@ -1,320 +1,106 @@
 package network
 
-import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"io"
-	"net"
-	"sync"
-	"sync/atomic"
-	"time"
-)
+import "fmt"
 
-// TCPFabric implements Fabric over real loopback TCP sockets, validating
-// that the parcel subsystem works over a genuine byte-stream transport
-// (HPX's TCP parcelport analog). Messages are framed as a fixed header —
-// uint32 source locality, uint32 payload length — followed by the payload.
+// TCPFabric implements Fabric over real loopback TCP sockets for an
+// in-process runtime (HPX's TCP parcelport analog). It is composed of one
+// PeerFabric per locality, each listening on an ephemeral 127.0.0.1 port
+// and knowing every other locality's address, so an in-process run
+// exercises exactly the transport a multi-process cluster uses: the same
+// hello handshake, framing, read loop, dial cache and redial path.
 //
 // TCPFabric applies no cost model; per-message overhead is whatever the
 // kernel socket path genuinely costs.
 type TCPFabric struct {
-	n         int
-	listeners []net.Listener
-	handlers  []atomic.Pointer[Handler]
-
-	mu       sync.Mutex
-	conns    map[linkKey]net.Conn
-	accepted map[net.Conn]struct{}
-	closed   atomic.Bool
-	wg       sync.WaitGroup
-	fault    atomic.Pointer[FaultHook]
-
-	msgs    atomic.Uint64
-	bytes   atomic.Uint64
-	msgsIn  atomic.Uint64
-	bytesIn atomic.Uint64
-	drops   atomic.Uint64
-	dupes   atomic.Uint64
-	delays  atomic.Uint64
+	peers []*PeerFabric
 }
 
-// NewTCPFabric creates a TCP fabric connecting n localities, each
-// listening on an ephemeral 127.0.0.1 port. Connections between pairs are
-// established lazily on first send.
+// NewTCPFabric creates a TCP fabric connecting n localities. Connections
+// between pairs are established lazily on first send.
 func NewTCPFabric(n int) (*TCPFabric, error) {
-	f := &TCPFabric{
-		n:         n,
-		listeners: make([]net.Listener, n),
-		handlers:  make([]atomic.Pointer[Handler], n),
-		conns:     make(map[linkKey]net.Conn),
-		accepted:  make(map[net.Conn]struct{}),
-	}
+	f := &TCPFabric{peers: make([]*PeerFabric, 0, n)}
 	for i := 0; i < n; i++ {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
+		p, err := NewPeerFabric(PeerConfig{Localities: n, Self: i})
 		if err != nil {
 			_ = f.Close()
-			return nil, fmt.Errorf("network: listen for locality %d: %w", i, err)
+			return nil, err
 		}
-		f.listeners[i] = l
-		f.wg.Add(1)
-		go f.accept(i, l)
+		f.peers = append(f.peers, p)
+	}
+	for _, p := range f.peers {
+		for _, q := range f.peers {
+			if err := p.SetPeerAddr(q.Self(), q.Addr()); err != nil {
+				_ = f.Close()
+				return nil, err
+			}
+		}
 	}
 	return f, nil
 }
 
-func (f *TCPFabric) accept(dst int, l net.Listener) {
-	defer f.wg.Done()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		// Accepted connections are tracked so Close can tear them down:
-		// the remote end of an accepted conn belongs to the dialer, and a
-		// dialer that never closes (or lives in another process) would
-		// otherwise leave the readLoop parked in ReadFull forever and hang
-		// Close's wg.Wait.
-		f.mu.Lock()
-		if f.closed.Load() {
-			f.mu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		f.accepted[conn] = struct{}{}
-		f.mu.Unlock()
-		f.wg.Add(1)
-		go f.readLoop(dst, conn)
-	}
-}
-
-// tcpReadBufferSize sizes the per-connection read buffer. Coalesced
-// messages are tens of kilobytes at most, so a 256 KiB buffer lets one
-// read syscall drain many queued frames under load — the receive-side
-// mirror of Send's vectored (writev) framing.
-const tcpReadBufferSize = 256 << 10
-
-func (f *TCPFabric) readLoop(dst int, conn net.Conn) {
-	defer f.wg.Done()
-	defer func() {
-		_ = conn.Close()
-		f.mu.Lock()
-		delete(f.accepted, conn)
-		f.mu.Unlock()
-	}()
-	// Batched socket reads: the buffered reader turns per-frame ReadFull
-	// pairs into large socket reads, so a burst of small frames costs one
-	// syscall instead of two per frame. Framing is unchanged — only where
-	// the bytes wait differs.
-	br := bufio.NewReaderSize(conn, tcpReadBufferSize)
-	var hdr [8]byte
-	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return
-		}
-		src := binary.LittleEndian.Uint32(hdr[0:4])
-		n := binary.LittleEndian.Uint32(hdr[4:8])
-		// Pooled receive buffer: the handler owns it and recycles it via
-		// PutPayload after decoding.
-		payload := GetPayload(int(n))
-		if _, err := io.ReadFull(br, payload); err != nil {
-			PutPayload(payload)
-			return
-		}
-		if f.closed.Load() {
-			PutPayload(payload)
-			return
-		}
-		if hp := f.handlers[dst].Load(); hp != nil {
-			f.msgsIn.Add(1)
-			f.bytesIn.Add(uint64(len(payload)))
-			(*hp)(int(src), payload)
-		} else {
-			PutPayload(payload)
-		}
-	}
-}
-
 // Localities implements Fabric.
-func (f *TCPFabric) Localities() int { return f.n }
+func (f *TCPFabric) Localities() int { return len(f.peers) }
 
 // Model implements Fabric; real sockets have no synthetic model.
 func (f *TCPFabric) Model() CostModel { return CostModel{} }
 
 // SetHandler implements Fabric.
 func (f *TCPFabric) SetHandler(dst int, h Handler) {
-	if dst < 0 || dst >= f.n {
+	if dst < 0 || dst >= len(f.peers) {
 		panic(fmt.Sprintf("network: SetHandler(%d) out of range", dst))
 	}
-	f.handlers[dst].Store(&h)
+	f.peers[dst].SetHandler(dst, h)
 }
 
-// Stats implements Fabric.
-func (f *TCPFabric) Stats() Stats {
-	return Stats{
-		MessagesSent:     f.msgs.Load(),
-		BytesSent:        f.bytes.Load(),
-		MessagesReceived: f.msgsIn.Load(),
-		BytesReceived:    f.bytesIn.Load(),
-		Dropped:          f.drops.Load(),
-		Duplicated:       f.dupes.Load(),
-		Delayed:          f.delays.Load(),
+// Send implements Fabric by sending from src's peer; see PeerFabric.Send.
+func (f *TCPFabric) Send(src, dst int, payload []byte) error {
+	if src < 0 || src >= len(f.peers) {
+		return fmt.Errorf("%w: src=%d dst=%d n=%d", ErrBadLocality, src, dst, len(f.peers))
 	}
+	return f.peers[src].Send(src, dst, payload)
+}
+
+// Stats implements Fabric, summing the peers' counters.
+func (f *TCPFabric) Stats() Stats {
+	var s Stats
+	for _, p := range f.peers {
+		ps := p.Stats()
+		s.MessagesSent += ps.MessagesSent
+		s.BytesSent += ps.BytesSent
+		s.MessagesReceived += ps.MessagesReceived
+		s.BytesReceived += ps.BytesReceived
+		s.Dropped += ps.Dropped
+		s.Duplicated += ps.Duplicated
+		s.Delayed += ps.Delayed
+	}
+	return s
 }
 
 // SetFaultHook installs (or, with nil, removes) a fault-injection hook,
-// mirroring SimFabric.SetFaultHook. Drops skip the socket write entirely;
-// duplicates write the frame twice; FaultDelay (and FaultReorder, which a
-// byte-stream transport can only express as a delay — later frames
-// overtake the delayed one) writes the frame from a timer goroutine after
-// the extra latency.
+// mirroring SimFabric.SetFaultHook. Each peer sees only its own outbound
+// traffic: in one process every send already passes through the hook on
+// the sending side, so the receive-side check PeerFabric makes for
+// cross-process partitions is filtered out — otherwise drop rates would
+// compound and drops would be counted twice.
 func (f *TCPFabric) SetFaultHook(h FaultHook) {
-	if h == nil {
-		f.fault.Store(nil)
-		return
-	}
-	f.fault.Store(&h)
-}
-
-// Send implements Fabric. Writes on a given (src,dst) pair are serialized
-// by the fabric mutex, so framing is never interleaved. A dial or write
-// error evicts the cached connection (closing it) so the next Send
-// redials instead of failing forever on a dead socket; the message itself
-// is reported lost to the caller, which retains payload ownership —
-// redelivery is the reliability layer's job.
-func (f *TCPFabric) Send(src, dst int, payload []byte) error {
-	if f.closed.Load() {
-		return ErrClosed
-	}
-	if src < 0 || src >= f.n || dst < 0 || dst >= f.n {
-		return fmt.Errorf("%w: src=%d dst=%d n=%d", ErrBadLocality, src, dst, f.n)
-	}
-
-	duplicate := false
-	if hook := f.fault.Load(); hook != nil {
-		fault := (*hook)(src, dst, payload)
-		switch fault.Action {
-		case FaultDrop:
-			f.drops.Add(1)
-			PutPayload(payload)
-			return nil
-		case FaultDuplicate:
-			f.dupes.Add(1)
-			duplicate = true
-		case FaultDelay, FaultReorder:
-			f.delays.Add(1)
-			delay := fault.Delay
-			if delay <= 0 {
-				delay = DefaultFaultDelay
+	for i, p := range f.peers {
+		if h == nil {
+			p.SetFaultHook(nil)
+			continue
+		}
+		p.SetFaultHook(func(src, dst int, payload []byte) Fault {
+			if src != i {
+				return Fault{}
 			}
-			// The timer goroutine is not tracked by f.wg: firing after
-			// Close just recycles the payload, so Close need not wait.
-			time.AfterFunc(delay, func() {
-				if f.closed.Load() {
-					PutPayload(payload)
-					return
-				}
-				// Best effort: a late write on a dead connection is just
-				// another injected loss.
-				if err := f.writeFrame(src, dst, payload); err == nil {
-					f.msgs.Add(1)
-					f.bytes.Add(uint64(len(payload)))
-				}
-				PutPayload(payload)
-			})
-			return nil
-		}
+			return h(src, dst, payload)
+		})
 	}
-
-	if err := f.writeFrame(src, dst, payload); err != nil {
-		return err
-	}
-	if duplicate {
-		_ = f.writeFrame(src, dst, payload)
-	}
-	// The socket write copied the bytes; this transport is done with the
-	// caller's buffer, so recycle it on its behalf (Send owns it).
-	PutPayload(payload)
-	f.msgs.Add(1)
-	f.bytes.Add(uint64(len(payload)))
-	return nil
 }
 
-// writeFrame frames and writes one message on the cached (dialing if
-// needed) connection for the link. On a write error the connection is
-// closed and evicted from the cache so the next attempt redials.
-func (f *TCPFabric) writeFrame(src, dst int, payload []byte) error {
-	conn, err := f.getConn(src, dst)
-	if err != nil {
-		return err
-	}
-	// Header and payload go out as one writev (net.Buffers) on the TCP
-	// connection: a single syscall per message with no copy of the
-	// payload into a combined frame buffer. The vectored write also
-	// keeps the framing atomic under the fabric mutex.
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(src))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
-	bufs := net.Buffers{hdr[:], payload}
-
-	f.mu.Lock()
-	_, err = bufs.WriteTo(conn)
-	if err != nil {
-		// Evict the broken connection (only if it is still the cached
-		// one — a concurrent sender may have already redialed).
-		key := linkKey{src, dst}
-		if f.conns[key] == conn {
-			delete(f.conns, key)
-		}
-		_ = conn.Close()
-	}
-	f.mu.Unlock()
-	if err != nil {
-		return fmt.Errorf("network: tcp send %d->%d: %w", src, dst, err)
-	}
-	return nil
-}
-
-func (f *TCPFabric) getConn(src, dst int) (net.Conn, error) {
-	key := linkKey{src, dst}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if c, ok := f.conns[key]; ok {
-		return c, nil
-	}
-	if f.closed.Load() {
-		return nil, ErrClosed
-	}
-	c, err := net.Dial("tcp", f.listeners[dst].Addr().String())
-	if err != nil {
-		// Typed so layers above can classify a dead or not-yet-listening
-		// peer (transient, retryable) without string matching. No stale
-		// slot is left behind: the cache is only populated on success.
-		return nil, fmt.Errorf("%w: dial %d->%d: %v", ErrPeerUnreachable, src, dst, err)
-	}
-	f.conns[key] = c
-	return c, nil
-}
-
-// Close implements Fabric, closing all listeners and connections and
-// waiting for reader goroutines to exit.
+// Close implements Fabric, closing every peer.
 func (f *TCPFabric) Close() error {
-	if f.closed.Swap(true) {
-		return nil
+	for _, p := range f.peers {
+		_ = p.Close()
 	}
-	f.mu.Lock()
-	for _, c := range f.conns {
-		_ = c.Close()
-	}
-	for c := range f.accepted {
-		_ = c.Close()
-	}
-	f.mu.Unlock()
-	for _, l := range f.listeners {
-		if l != nil {
-			_ = l.Close()
-		}
-	}
-	f.wg.Wait()
 	return nil
 }

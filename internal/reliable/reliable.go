@@ -3,10 +3,11 @@
 //
 // The paper's experiments ran HPX over Intel MPI, which guarantees
 // delivery; this reproduction's substitutes do not. SimFabric's fault
-// hooks can drop, duplicate, delay and reorder wire messages, and
-// TCPFabric loses everything in flight on a connection error — without a
-// reliability layer a single injected fault deadlocks Port.Drain and
-// corrupts the Section III counters the adaptive tuners feed on. This
+// hooks can drop, duplicate, delay and reorder wire messages, and the
+// TCP transport (PeerFabric, and TCPFabric built from it) loses
+// everything in flight on a connection error — without a reliability
+// layer a single injected fault deadlocks Port.Drain and corrupts the
+// Section III counters the adaptive tuners feed on. This
 // package makes loss a first-class, measurable scenario: every wire
 // message carries a monotone per-link sequence number and a piggybacked
 // cumulative ACK; the sender keeps an unacked-window retransmission queue

@@ -387,6 +387,7 @@ func (rt *Runtime) registerDestCounters(l *Locality, action string, c *coalescin
 			{"flushed-timer", func(s coalescing.DestStats) float64 { return float64(s.FlushedTimer) }},
 			{"flushed-bytes", func(s coalescing.DestStats) float64 { return float64(s.FlushedBytes) }},
 			{"bypass", func(s coalescing.DestStats) float64 { return float64(s.Bypass) }},
+			{"pass-through", func(s coalescing.DestStats) float64 { return float64(s.PassThrough) }},
 		} {
 			read := f.read
 			l.registry.MustRegister(counters.NewDerived(counters.Path{
