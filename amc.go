@@ -46,7 +46,9 @@ import (
 type (
 	// Runtime is a multi-locality task-based runtime instance.
 	Runtime = runtime.Runtime
-	// RuntimeConfig configures NewRuntime.
+	// RuntimeConfig configures NewRuntime. Idle workers park until a
+	// task or a parcel-port message wakes them; no field sets a polling
+	// interval.
 	RuntimeConfig = runtime.Config
 	// Locality is the abstraction for one simulated node.
 	Locality = runtime.Locality

@@ -99,7 +99,9 @@ type outShard struct {
 // workers invoke when idle. Inbound wire messages are queued by the
 // fabric's delivery goroutine and likewise decoded by DoBackgroundWork.
 // All time spent in DoBackgroundWork is the "background work" of the
-// paper's Section III metrics.
+// paper's Section III metrics. Every queued message rings the wake hook
+// (SetWakeHook), so idle workers are woken for network work instead of
+// polling for it.
 //
 // The transmission pipeline is allocation-free in steady state: single
 // parcels travel through the queue without a wrapping slice, batch slices
@@ -121,7 +123,11 @@ type Port struct {
 	outPending atomic.Int64
 	sendCursor atomic.Uint32
 	rxCh       chan rxMessage
+	rxPending  atomic.Int64
 	closed     atomic.Bool
+
+	// wake is the doorbell installed by SetWakeHook.
+	wake atomic.Pointer[func()]
 
 	// onMessage, when set, observes the source of every wire message as
 	// it arrives (on the fabric delivery goroutine, before queueing). The
@@ -222,6 +228,28 @@ func (p *Port) SetOnMessage(fn func(src int)) {
 		return
 	}
 	p.onMessage.Store(&fn)
+}
+
+// SetWakeHook installs (or with nil removes) the port's doorbell: fn runs
+// after each outbound message is enqueued (on the sending task, or on the
+// timer goroutine for a coalescer flush) and after each received message
+// is queued (on the fabric delivery goroutine), always after the message
+// is visible to HasBackgroundWork. The runtime wires it to its scheduler's
+// wake path, so a parked worker is woken for network work instead of
+// polling for it. fn must be cheap and must never block.
+func (p *Port) SetWakeHook(fn func()) {
+	if fn == nil {
+		p.wake.Store(nil)
+		return
+	}
+	p.wake.Store(&fn)
+}
+
+// ring runs the wake hook, if one is installed.
+func (p *Port) ring() {
+	if fn := p.wake.Load(); fn != nil {
+		(*fn)()
+	}
 }
 
 // LastSend reports when this port last handed the fabric a message for
@@ -339,12 +367,22 @@ func (p *Port) enqueue(m outMessage) {
 	s.q.Push(m)
 	s.mu.Unlock()
 	p.outPending.Add(1)
+	p.ring()
 }
 
 // PendingOutbound returns the number of wire messages waiting for
 // background transmission.
 func (p *Port) PendingOutbound() int {
 	return int(p.outPending.Load())
+}
+
+// HasBackgroundWork reports whether a message is waiting to be sent or
+// decoded, i.e. whether DoBackgroundWork would find work. It reads only
+// the two pending counts, which are raised before the wake hook rings,
+// so a worker that publishes itself as parked and then finds no work
+// here is woken by the hook of whichever message raises them next.
+func (p *Port) HasBackgroundWork() bool {
+	return p.outPending.Load() > 0 || p.rxPending.Load() > 0
 }
 
 // onWireMessage runs on the fabric delivery goroutine: it must only
@@ -361,9 +399,14 @@ func (p *Port) onWireMessage(src int, payload []byte) {
 	if fn := p.onMessage.Load(); fn != nil {
 		(*fn)(src)
 	}
+	// Count the message before it becomes receivable, so rxPending never
+	// under-reports a queued message.
+	p.rxPending.Add(1)
 	select {
 	case p.rxCh <- rxMessage{src: src, payload: payload}:
+		p.ring()
 	default:
+		p.rxPending.Add(-1)
 		p.rxDropped.Inc()
 		network.PutPayload(payload)
 	}
@@ -489,6 +532,7 @@ func (p *Port) transmit(m outMessage) {
 func (p *Port) receiveOne() bool {
 	select {
 	case m := <-p.rxCh:
+		p.rxPending.Add(-1)
 		// Pay the modeled fixed per-message receive CPU cost here, on the
 		// worker doing background work.
 		timer.Spin(p.fabric.Model().RecvCPU(len(m.payload)))
@@ -558,16 +602,17 @@ func (p *Port) FlushHandlers() {
 	}
 }
 
-// Drain performs background work until both queues are empty, bounded by
-// the timeout; it reports whether everything drained. Idle iterations
-// back off (yield, then short sleeps) instead of spinning, so a Drain
-// waiting on in-flight fabric deliveries does not burn a core.
+// Drain performs background work until both queues are empty, as
+// HasBackgroundWork defines it, bounded by the timeout; it reports
+// whether everything drained. Idle iterations back off (yield, then
+// short sleeps) instead of spinning, so a Drain waiting on in-flight
+// fabric deliveries does not burn a core.
 func (p *Port) Drain(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	idle := 0
 	for time.Now().Before(deadline) {
 		worked := p.DoBackgroundWork(64)
-		if worked == 0 && p.PendingOutbound() == 0 && len(p.rxCh) == 0 {
+		if worked == 0 && !p.HasBackgroundWork() {
 			return true
 		}
 		if worked == 0 {

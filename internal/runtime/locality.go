@@ -88,12 +88,13 @@ func newLocality(rt *Runtime, id int, hosted bool) *Locality {
 		locality:     id,
 		workers:      rt.cfg.WorkersPerLocality,
 		queueSize:    rt.cfg.TaskQueueSize,
-		idleSleep:    rt.cfg.IdleSleep,
-		maxIdleSleep: rt.cfg.MaxIdleSleep,
 		bgBatch:      rt.cfg.BackgroundBatch,
 		taskOverhead: rt.cfg.TaskOverhead,
 		registry:     l.registry,
 	}, l.port)
+	// The port's doorbell: every queued outbound or received message
+	// wakes a parked worker to do the network work.
+	l.port.SetWakeHook(l.sched.maybeWake)
 	l.actionErrors = counters.NewRaw(counters.Path{
 		Object: "runtime", Instance: fmt.Sprintf("locality#%d", id), Name: "count/action-errors",
 	})

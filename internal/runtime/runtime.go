@@ -64,6 +64,8 @@ type Config struct {
 	// Localities is the number of simulated nodes (default 2).
 	Localities int
 	// WorkersPerLocality sizes each locality's scheduler pool (default 4).
+	// Idle workers park until a task is spawned or the parcel port
+	// queues a message, so there is no idle-polling interval to set.
 	WorkersPerLocality int
 	// CostModel parameterizes the simulated fabric. A zero model selects
 	// network.DefaultCostModel. Ignored when Fabric is set.
@@ -74,16 +76,6 @@ type Config struct {
 	// TaskQueueSize bounds each locality's runnable-task queue
 	// (default 65536).
 	TaskQueueSize int
-	// IdleSleep is the first park interval of an idle worker's backoff,
-	// reached after the spin and yield phases find neither tasks nor
-	// background work (default 20µs).
-	IdleSleep time.Duration
-	// MaxIdleSleep caps the idle backoff: park intervals double from
-	// IdleSleep up to this bound, which is also how often a fully idle
-	// worker polls for background network work (default 1ms). Parked
-	// workers are woken immediately by spawn, so task latency does not
-	// pay this interval.
-	MaxIdleSleep time.Duration
 	// BackgroundBatch is how many background work units a worker performs
 	// per idle visit (default 8).
 	BackgroundBatch int

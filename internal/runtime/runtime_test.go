@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -509,5 +510,41 @@ func TestIdleRateCounter(t *testing.T) {
 	}
 	if busy >= v {
 		t.Errorf("idle rate did not drop under load: %v -> %v", v, busy)
+	}
+}
+
+// TestPortDoorbellSequentialRoundTrips runs 10,000 sequential remote
+// round trips with one worker per locality, so nearly every hop finds
+// its worker parked: the request enqueued on locality 0, its arrival on
+// locality 1, the response enqueued there and its arrival back on 0 each
+// depend on the port's wake hook. Parks have no timeout, so one lost
+// wakeup shows up as a timed-out call. The cost model spins instead of
+// sleeping, keeping every call's latency at the wake path's own cost.
+func TestPortDoorbellSequentialRoundTrips(t *testing.T) {
+	rt := New(Config{
+		Localities:         2,
+		WorkersPerLocality: 1,
+		CostModel:          network.CostModel{SendOverhead: time.Microsecond, RecvOverhead: time.Microsecond},
+	})
+	t.Cleanup(rt.Shutdown)
+	rt.MustRegisterAction("echo", echoAction)
+	rounds := 10000
+	if testing.Short() {
+		rounds = 2000
+	}
+	arg := make([]byte, 8)
+	for i := 0; i < rounds; i++ {
+		binary.LittleEndian.PutUint64(arg, uint64(i))
+		f, err := rt.Locality(0).Async(1, "echo", arg)
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		res, err := f.GetWithTimeout(10 * time.Second)
+		if err != nil {
+			t.Fatalf("call %d: %v (lost wakeup?)", i, err)
+		}
+		if got := binary.LittleEndian.Uint64(res); got != uint64(i) {
+			t.Fatalf("call %d: echoed %d", i, got)
+		}
 	}
 }

@@ -15,7 +15,8 @@ import (
 // measured against the design it replaced rather than assumed.
 
 // BackgroundFunc adapts a function to the scheduler's background-work
-// interface.
+// interface. It has no wake hook, so it is polled only by awake workers:
+// work it gains while every worker is parked waits for the next spawn.
 type BackgroundFunc func(maxUnits int) int
 
 // DoBackgroundWork implements the scheduler's background-work source.
@@ -25,6 +26,10 @@ func (f BackgroundFunc) DoBackgroundWork(maxUnits int) int {
 	}
 	return f(maxUnits)
 }
+
+// HasBackgroundWork implements the scheduler's background-work source. It
+// reports false: a parked worker is never kept awake for a BackgroundFunc.
+func (f BackgroundFunc) HasBackgroundWork() bool { return false }
 
 // SchedBenchConfig configures a benchmark scheduler instance.
 type SchedBenchConfig struct {

@@ -18,9 +18,14 @@ type task struct {
 }
 
 // backgroundWorker is the slice of the parcel port the scheduler drives
-// when idle.
+// when idle. A source that can gain work while workers are parked must
+// call the scheduler's maybeWake after its work becomes visible to
+// HasBackgroundWork (the port's wake hook): parked workers do not poll.
 type backgroundWorker interface {
 	DoBackgroundWork(maxUnits int) int
+	// HasBackgroundWork reports whether DoBackgroundWork would find
+	// work; park's final re-check reads it.
+	HasBackgroundWork() bool
 }
 
 // schedConfig configures a locality scheduler.
@@ -28,8 +33,6 @@ type schedConfig struct {
 	locality     int
 	workers      int
 	queueSize    int
-	idleSleep    time.Duration
-	maxIdleSleep time.Duration
 	bgBatch      int
 	taskOverhead time.Duration
 	registry     *counters.Registry
@@ -51,8 +54,8 @@ const (
 	bgCheckEvery = 64
 	// spinRounds and yieldRounds shape the idle backoff: an idle worker
 	// re-checks all queues spinRounds times, yields the processor
-	// yieldRounds times, and only then parks on its wake channel with a
-	// sleep that doubles from idleSleep up to maxIdleSleep.
+	// yieldRounds times, and only then parks on its wake channel until a
+	// spawn or the background source's wake hook wakes it.
 	spinRounds  = 4
 	yieldRounds = 4
 	// batchRun is how many uninstrumented tasks a worker runs
@@ -98,10 +101,9 @@ type worker struct {
 	sinceBgCheck int
 	searching    bool // owner-only: counted in scheduler.nSearching
 
-	// parkCh (capacity 1) wakes a parked worker when spawn enqueues
-	// work; parkTimer bounds a park so background work is still polled.
-	parkCh    chan struct{}
-	parkTimer *time.Timer
+	// parkCh (capacity 1) wakes a parked worker when spawn or the
+	// background source's wake hook publishes work.
+	parkCh chan struct{}
 
 	_ [64]byte // pad workers apart when allocated adjacently
 }
@@ -132,10 +134,11 @@ type spawnHint struct {
 // a worker whose queues are empty steals the oldest half of a victim's
 // deque before falling back to background network work and finally to
 // an adaptive spin → yield → park backoff. Parked workers are woken by
-// spawn — but only when no other worker is already searching for work,
-// mirroring the Go runtime's spinning-M throttle — so empty-task
-// latency does not pay the park sleep and a steady spawn stream does
-// not pay a wake per task.
+// spawn and by the background source's wake hook (the parcel port rings
+// it for every queued message) — but only when no other worker is
+// already searching for work, mirroring the Go runtime's spinning-M
+// throttle — so neither tasks nor network work wait on a timer, and a
+// steady stream does not pay a wake per item. A park has no timeout.
 //
 // It maintains the counters behind the paper's Section III metrics:
 //
@@ -213,15 +216,6 @@ func newScheduler(cfg schedConfig, bg backgroundWorker) *scheduler {
 	}
 	if cfg.queueSize <= 0 {
 		cfg.queueSize = 1 << 16
-	}
-	if cfg.idleSleep <= 0 {
-		cfg.idleSleep = 20 * time.Microsecond
-	}
-	if cfg.maxIdleSleep <= 0 {
-		cfg.maxIdleSleep = time.Millisecond
-	}
-	if cfg.maxIdleSleep < cfg.idleSleep {
-		cfg.maxIdleSleep = cfg.idleSleep
 	}
 	if cfg.bgBatch <= 0 {
 		cfg.bgBatch = 8
@@ -407,7 +401,8 @@ func (s *scheduler) spawnTo(i int, fn func()) bool {
 // worker is already searching for work (it will find the new task
 // without a wakeup — the analog of the Go runtime's "don't wake a P
 // while an M is spinning" rule, which keeps a steady spawn stream from
-// paying a park/wake handshake per task).
+// paying a park/wake handshake per task). Callers must publish their
+// work before calling it (see park).
 func (s *scheduler) maybeWake() {
 	if s.nSearching.Load() == 0 && s.nParked.Load() > 0 {
 		s.wakeOne()
@@ -491,12 +486,7 @@ func (s *scheduler) run(w *worker) {
 			goruntime.Gosched()
 		default:
 			s.flushWorker(w) // publish accounting before a long idle
-			shift := idle - spinRounds - yieldRounds - 1
-			sleep := s.cfg.idleSleep << shift
-			if sleep > s.cfg.maxIdleSleep || sleep <= 0 {
-				sleep = s.cfg.maxIdleSleep
-			}
-			s.park(w, sleep)
+			s.park(w)
 		}
 	}
 }
@@ -600,11 +590,14 @@ func (s *scheduler) doBackground(w *worker) bool {
 	return false
 }
 
-// park blocks the worker until spawn wakes it, the scheduler stops, or
-// sleep elapses (so background work is still polled while parked). The
-// worker re-checks for work after publishing its parked state, closing
-// the race with a spawner that enqueued before seeing it parked.
-func (s *scheduler) park(w *worker, sleep time.Duration) {
+// park blocks the worker until spawn or the background wake hook wakes
+// it, or the scheduler stops. The worker re-checks for tasks and
+// background work after publishing its parked state, closing the race
+// with a producer that published before seeing it parked: producers
+// publish work and then load nSearching/nParked, the worker stores
+// nParked and then loads the work counts, so at least one side sees the
+// other.
+func (s *scheduler) park(w *worker) {
 	// Stop counting as a searcher before the final work re-check: from
 	// here on, a spawner that finds nSearching at zero takes the wake
 	// path, and a spawner that observed this worker still searching must
@@ -622,21 +615,9 @@ func (s *scheduler) park(w *worker, sleep time.Duration) {
 		s.unpark(w)
 		return
 	}
-	if w.parkTimer == nil {
-		w.parkTimer = time.NewTimer(sleep)
-	} else {
-		w.parkTimer.Reset(sleep)
-	}
 	select {
 	case <-w.parkCh:
-	case <-w.parkTimer.C:
 	case <-s.quit:
-	}
-	if !w.parkTimer.Stop() {
-		select {
-		case <-w.parkTimer.C:
-		default:
-		}
 	}
 	s.unpark(w)
 }
@@ -659,7 +640,8 @@ func (s *scheduler) unpark(w *worker) {
 	}
 }
 
-// haveWork reports whether any queue holds a runnable task.
+// haveWork reports whether any queue holds a runnable task or the
+// background source has work.
 func (s *scheduler) haveWork(w *worker) bool {
 	for _, v := range s.workers {
 		v.mu.Lock()
@@ -675,7 +657,7 @@ func (s *scheduler) haveWork(w *worker) bool {
 			return true
 		}
 	}
-	return false
+	return s.bg.HasBackgroundWork()
 }
 
 // wakeOne pops and wakes the most recently parked worker.

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,6 +15,7 @@ import (
 type fakeBg struct {
 	units atomic.Int64 // available units
 	done  atomic.Int64 // consumed units
+	idle  atomic.Int64 // empty calls since a unit was last consumed
 	cost  time.Duration
 }
 
@@ -27,11 +29,17 @@ func (f *fakeBg) DoBackgroundWork(maxUnits int) int {
 		if f.cost > 0 {
 			time.Sleep(f.cost)
 		}
+		f.idle.Store(0)
 		f.done.Add(1)
 		n++
 	}
+	if n == 0 {
+		f.idle.Add(1)
+	}
 	return n
 }
+
+func (f *fakeBg) HasBackgroundWork() bool { return f.units.Load() > 0 }
 
 // waitTasks polls stats() until the task counter reaches n (tasks count
 // as completed once their instrumentation epilogue finishes, a few µs
@@ -458,5 +466,62 @@ func TestSchedulerBackgroundNotStarvedUnderLoad(t *testing.T) {
 	close(stop)
 	if bg.done.Load() == 0 {
 		t.Error("background work starved under continuous task load")
+	}
+}
+
+// TestSchedulerBackgroundWakeNotLost publishes background work one unit
+// at a time from another goroutine while the pool's only worker is on
+// its way to parking, ringing the scheduler's wake path the way the
+// parcel port's doorbell does. Parks have no timeout, so a lost wakeup
+// (the worker parking after the producer skipped the wake because the
+// worker was still searching) leaves the unit unprocessed for good and
+// the deadline fails the test instead of a timer rescuing it.
+func TestSchedulerBackgroundWakeNotLost(t *testing.T) {
+	bg := &fakeBg{}
+	s := newTestScheduler(t, 1, bg, nil)
+	rounds := 5000
+	if testing.Short() {
+		rounds = 1000
+	}
+	for i := 0; i < rounds; i++ {
+		// Vary where in the worker's idle path (spin, yield, park
+		// prologue, parked) the unit lands. Most rounds aim at the
+		// narrowest window: just after the worker's last empty
+		// background call before it parks, swept by a short spin.
+		switch i % 4 {
+		case 0:
+			for k := 0; k < i%9; k++ {
+				goruntime.Gosched()
+			}
+		case 1, 2:
+			waitUntil(func() bool { return bg.idle.Load() >= spinRounds+yieldRounds+1 })
+			for k := 0; k < i%64; k++ {
+				spinSink.Add(1)
+			}
+		case 3:
+			waitUntil(func() bool { return s.nParked.Load() == 1 })
+		}
+		bg.units.Add(1)
+		s.maybeWake()
+		want := int64(i + 1)
+		deadline := time.Now().Add(10 * time.Second)
+		for bg.done.Load() < want {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: background unit not processed within 10s (parked=%d searching=%d): lost wakeup",
+					i, s.nParked.Load(), s.nSearching.Load())
+			}
+			goruntime.Gosched()
+		}
+	}
+}
+
+var spinSink atomic.Int64
+
+// waitUntil yields until cond holds, giving up after a second (the
+// caller only uses it to steer timing, not to assert).
+func waitUntil(cond func() bool) {
+	deadline := time.Now().Add(time.Second)
+	for !cond() && time.Now().Before(deadline) {
+		goruntime.Gosched()
 	}
 }
